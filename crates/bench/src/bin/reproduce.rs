@@ -6,7 +6,8 @@
 //!
 //! With no experiment arguments, everything runs. Experiment names:
 //! `table1 fig1 fig2 fig3 fig4 validation table2 table3 table4 table5
-//! fig6 fig7a fig7b fig8 fig9 fig10 fig11 ablation claims serve`.
+//! fig6 fig7a fig7b fig8 fig9 fig10 fig11 ablation claims serve`. An
+//! unknown name exits with status 2 and lists the valid ones on stderr.
 
 use rdns_bench::parse_scale;
 use rdns_core::experiments::{
@@ -19,6 +20,33 @@ use rdns_model::Date;
 use rdns_telemetry::{Determinism, Registry};
 use std::collections::HashSet;
 use std::time::Instant;
+
+/// The scale words `reproduce` takes as its first argument.
+const SCALES: [&str; 3] = ["tiny", "small", "paper"];
+
+/// Every experiment name `reproduce` accepts (case-insensitively).
+const EXPERIMENTS: [&str; 20] = [
+    "table1",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "validation",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "fig6",
+    "fig7a",
+    "fig7b",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "ablation",
+    "claims",
+    "serve",
+];
 
 fn wanted(selected: &HashSet<String>, name: &str) -> bool {
     selected.is_empty() || selected.contains(name)
@@ -123,18 +151,24 @@ fn serve_stage(scale: &Scale, registry: &Registry) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_scale(args.first().map(String::as_str));
-    let selected: HashSet<String> = args
+    let (scale_arg, names) = match args.split_first() {
+        Some((first, rest)) if SCALES.contains(&first.as_str()) => (Some(first.as_str()), rest),
+        _ => (None, args.as_slice()),
+    };
+    let scale = parse_scale(scale_arg);
+    let selected: HashSet<String> = names.iter().map(|s| s.to_ascii_lowercase()).collect();
+    let mut unknown: Vec<&str> = selected
         .iter()
-        .skip(if args.first().is_some_and(|a| {
-            ["tiny", "small", "paper"].contains(&a.as_str())
-        }) {
-            1
-        } else {
-            0
-        })
-        .map(|s| s.to_ascii_lowercase())
+        .map(String::as_str)
+        .filter(|name| !EXPERIMENTS.contains(name))
         .collect();
+    if !unknown.is_empty() {
+        unknown.sort_unstable();
+        eprintln!("reproduce: unknown experiment(s): {}", unknown.join(" "));
+        eprintln!("usage: reproduce [{}] [experiment ...]", SCALES.join("|"));
+        eprintln!("experiments: {}", EXPERIMENTS.join(" "));
+        std::process::exit(2);
+    }
     println!("# rdns-privacy reproduction — scale {scale:?}");
     let t0 = Instant::now();
     // Stage timings land in a wall-clock histogram; set RDNS_METRICS=1 to

@@ -5,10 +5,18 @@
 //! container cannot fetch tokio. This shim provides the exact API surface
 //! those components use, built on three simple mechanisms:
 //!
-//! * **Executor** — `block_on` polls the future in a loop, parking the
-//!   thread ~500µs between polls. No reactor, no wake graph: every future
-//!   in this shim is poll-ready-or-pending, so periodic re-polling is a
-//!   complete scheduling strategy at loopback latencies.
+//! * **Executor** — `block_on` polls the future in a loop. A socket future
+//!   that hits `WouldBlock` registers its fd for the current poll; while
+//!   the future is pending, the thread waits in `ppoll` on those fds, so it
+//!   wakes when a datagram arrives. The wait lasts at most ~500µs, and
+//!   with no fd registered it is a plain ~500µs park. A thread whose last
+//!   wait ended with a socket ready checks its sockets, yielding between
+//!   checks, for up to ~500µs before it sleeps again, so steady traffic
+//!   seldom waits for a sleeping thread to be woken. There is no wake
+//!   graph: every future in this shim re-checks its state on poll, so the
+//!   bounded wait is a complete scheduling strategy for the futures with
+//!   no fd behind them (`watch`, `oneshot`, `Semaphore`, `JoinHandle`,
+//!   timers).
 //! * **Tasks** — `tokio::spawn` runs the future to completion on a
 //!   dedicated OS thread; the `JoinHandle` is a future over a shared slot.
 //! * **I/O** — sockets are `std::net` sockets in nonblocking mode whose

@@ -1,9 +1,11 @@
 //! Async sockets: nonblocking `std::net` sockets whose futures translate
-//! `WouldBlock` into `Poll::Pending`.
+//! `WouldBlock` into `Poll::Pending`, registering the socket's fd so the
+//! executor wakes when it is ready.
 
-use crate::runtime::pending_once;
+use crate::runtime::{pending_on, POLLIN, POLLOUT};
 use std::io;
 use std::net::{self, SocketAddr, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 
 /// Async UDP socket.
 #[derive(Debug)]
@@ -26,7 +28,9 @@ impl UdpSocket {
         loop {
             match self.inner.recv_from(buf) {
                 Ok(v) => return Ok(v),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => pending_once().await,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    pending_on(self.inner.as_raw_fd(), POLLIN).await
+                }
                 Err(e) => return Err(e),
             }
         }
@@ -40,7 +44,9 @@ impl UdpSocket {
         loop {
             match self.inner.send_to(buf, target) {
                 Ok(n) => return Ok(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => pending_once().await,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    pending_on(self.inner.as_raw_fd(), POLLOUT).await
+                }
                 Err(e) => return Err(e),
             }
         }
@@ -66,7 +72,9 @@ impl UdpSocket {
         loop {
             match self.inner.peek_from(&mut probe) {
                 Ok(_) => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => pending_once().await,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    pending_on(self.inner.as_raw_fd(), POLLIN).await
+                }
                 Err(e) => return Err(e),
             }
         }
@@ -108,7 +116,9 @@ impl TcpStream {
         loop {
             match self.inner.read(buf) {
                 Ok(n) => return Ok(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => pending_once().await,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    pending_on(self.inner.as_raw_fd(), POLLIN).await
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -120,7 +130,9 @@ impl TcpStream {
         loop {
             match self.inner.write(buf) {
                 Ok(n) => return Ok(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => pending_once().await,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    pending_on(self.inner.as_raw_fd(), POLLOUT).await
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -149,7 +161,9 @@ impl TcpListener {
         loop {
             match self.inner.accept() {
                 Ok((stream, peer)) => return Ok((TcpStream::from_std(stream)?, peer)),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => pending_once().await,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    pending_on(self.inner.as_raw_fd(), POLLIN).await
+                }
                 Err(e) => return Err(e),
             }
         }
