@@ -1,17 +1,16 @@
-//! Old-path vs columnar-path benchmarks for the §5 dynamicity pipeline.
+//! Columnar-path benchmarks for the §5 dynamicity pipeline.
 //!
-//! The "row" path walks the per-day `BTreeMap<Ipv4Addr, Hostname>` snapshots
-//! (one hash-map entry per address) exactly as the seed analysis did; the
-//! columnar path run-length-scans sorted `u32` address columns and fans the
-//! per-/24 verdicts out with rayon. Run with `cargo bench --bench columnar`
+//! The columnar path run-length-scans sorted `u32` address columns and fans
+//! the per-/24 verdicts out with rayon; the conversion from the collected
+//! delta series is timed on its own. Run with `cargo bench --bench columnar`
 //! to measure on a 250k-address, 90-day world; under `cargo test` the world
 //! shrinks so the smoke pass stays fast.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rdns_core::dynamicity::{identify_dynamic, identify_dynamic_par, DynamicityParams};
-use rdns_data::{Cadence, ColumnarSeries, DailySnapshot, SnapshotSeries};
+use rdns_core::dynamicity::{identify_dynamic_par, DynamicityParams};
+use rdns_data::{Cadence, DailySnapshot, DeltaSeries};
 use rdns_model::{Date, Hostname};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -22,7 +21,7 @@ const ADDRS_PER_BLOCK: u32 = 250;
 /// Build a synthetic daily series: `blocks` /24s of ~250 addresses each over
 /// `days` days. One block in ten is a churny carry-over pool whose occupied
 /// addresses move day to day; the rest are static infrastructure.
-fn synthetic_series(blocks: u32, days: u32, seed: u64) -> SnapshotSeries {
+fn synthetic_series(blocks: u32, days: u32, seed: u64) -> DeltaSeries {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let start = Date::from_ymd(2021, 1, 1);
     // Pre-render hostnames per (block, offset) so per-day assembly is cheap.
@@ -34,7 +33,7 @@ fn synthetic_series(blocks: u32, days: u32, seed: u64) -> SnapshotSeries {
         })
         .collect();
     let churny: Vec<bool> = (0..blocks).map(|_| rng.gen_bool(0.1)).collect();
-    let mut series = SnapshotSeries::new(Cadence::Daily);
+    let mut series = DeltaSeries::new(Cadence::Daily);
     for day in 0..days {
         let mut records: BTreeMap<Ipv4Addr, Hostname> = BTreeMap::new();
         for b in 0..blocks {
@@ -70,23 +69,12 @@ fn bench_dynamicity_paths(c: &mut Criterion) {
     let measuring = std::env::args().any(|a| a == "--bench");
     let (blocks, days) = if measuring { (1_000u32, 90u32) } else { (8, 5) };
     let series = synthetic_series(blocks, days, 42);
-    let columnar = ColumnarSeries::from_series(&series);
+    let columnar = series.to_columnar();
     let params = DynamicityParams::default();
-
-    // Both paths must agree before we time them.
-    let row = identify_dynamic(&series.counts_matrix(), &params);
-    let col = identify_dynamic_par(&columnar.counts_matrix(), &params);
-    assert_eq!(row, col, "row and columnar paths must produce equal output");
 
     let mut g = c.benchmark_group("section5_dynamicity");
     g.sample_size(10);
     g.throughput(Throughput::Elements(blocks as u64 * ADDRS_PER_BLOCK as u64));
-    g.bench_function(format!("row_path_{blocks}_blocks_{days}d"), |b| {
-        b.iter(|| {
-            let matrix = black_box(&series).counts_matrix();
-            identify_dynamic(&matrix, &params)
-        })
-    });
     g.bench_function(format!("columnar_path_{blocks}_blocks_{days}d"), |b| {
         b.iter(|| {
             let matrix = black_box(&columnar).counts_matrix();
@@ -95,8 +83,8 @@ fn bench_dynamicity_paths(c: &mut Criterion) {
     });
     // The conversion is paid once per study, then amortized over every
     // downstream analysis; time it separately.
-    g.bench_function(format!("from_series_{blocks}_blocks_{days}d"), |b| {
-        b.iter(|| ColumnarSeries::from_series(black_box(&series)))
+    g.bench_function(format!("to_columnar_{blocks}_blocks_{days}d"), |b| {
+        b.iter(|| black_box(&series).to_columnar())
     });
     g.finish();
 }

@@ -1,5 +1,6 @@
-//! The `reproduce` command line: every documented experiment name runs, and
-//! a name it does not know is an error rather than an empty, successful run.
+//! The `reproduce` command line: every documented experiment name runs and
+//! prints the committed tiny transcript, and a name it does not know is an
+//! error rather than an empty, successful run.
 
 use std::process::{Command, Output};
 
@@ -71,8 +72,18 @@ fn every_experiment_name_and_scale_word_is_accepted() {
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(stdout.contains("Table 1 — dataset statistics"), "{stdout}");
-    assert!(stdout.contains("Serve path"), "{stdout}");
+    // Everything `reproduce` prints to stdout is fixed by the seed, so the
+    // whole tiny transcript is pinned.
+    let golden = include_str!("reproduce_tiny.txt");
+    let first_diff = stdout
+        .lines()
+        .zip(golden.lines())
+        .position(|(got, want)| got != want);
+    assert!(
+        stdout == golden,
+        "stdout differs from reproduce_tiny.txt; first differing line: {:?}",
+        first_diff.map(|i| i + 1)
+    );
 
     for scale in ["small", "paper"] {
         let out = reproduce(&[scale, "TABLE2"]);

@@ -4,7 +4,7 @@
 //! y-axis of Figs. 9–10). Even day-granularity snapshots expose lockdowns,
 //! recoveries, holidays and the education-vs-housing crossover.
 
-use rdns_data::{ColumnarSeries, SnapshotSeries};
+use rdns_data::ColumnarSeries;
 use rdns_model::{Date, Ipv4Net};
 use serde::{Deserialize, Serialize};
 
@@ -18,6 +18,31 @@ pub struct NormalizedSeries {
 }
 
 impl NormalizedSeries {
+    /// Normalise `(date, count)` totals to percent of their maximum; all
+    /// zero when every count is 0.
+    pub fn from_totals(
+        label: &str,
+        totals: impl IntoIterator<Item = (Date, usize)>,
+    ) -> NormalizedSeries {
+        let totals: Vec<(Date, usize)> = totals.into_iter().collect();
+        let max = totals.iter().map(|(_, n)| *n).max().unwrap_or(0);
+        let points = totals
+            .into_iter()
+            .map(|(d, n)| {
+                let pct = if max == 0 {
+                    0.0
+                } else {
+                    n as f64 / max as f64 * 100.0
+                };
+                (d, pct)
+            })
+            .collect();
+        NormalizedSeries {
+            label: label.to_string(),
+            points,
+        }
+    }
+
     /// The percentage on a given date, if sampled.
     pub fn at(&self, date: Date) -> Option<f64> {
         self.points
@@ -50,51 +75,22 @@ impl NormalizedSeries {
     }
 }
 
-/// Build a percent-of-max series from snapshot totals restricted to a set of
-/// prefixes.
+/// Build a percent-of-max series from each day's record count restricted
+/// to a set of prefixes. The per-day address columns are scanned with rayon
+/// fan-out.
 pub fn percent_of_max(
-    label: &str,
-    series: &SnapshotSeries,
-    prefixes: &[Ipv4Net],
-) -> NormalizedSeries {
-    let totals = series.daily_totals_where(|addr| prefixes.iter().any(|p| p.contains(addr)));
-    normalize(label, totals)
-}
-
-/// Like [`percent_of_max`], but over the columnar analysis view, whose
-/// per-day address columns are scanned with rayon fan-out.
-pub fn percent_of_max_columnar(
     label: &str,
     series: &ColumnarSeries,
     prefixes: &[Ipv4Net],
 ) -> NormalizedSeries {
     let totals = series.daily_totals_where(|addr| prefixes.iter().any(|p| p.contains(addr)));
-    normalize(label, totals)
-}
-
-fn normalize(label: &str, totals: Vec<(Date, usize)>) -> NormalizedSeries {
-    let max = totals.iter().map(|(_, n)| *n).max().unwrap_or(0);
-    let points = totals
-        .into_iter()
-        .map(|(d, n)| {
-            let pct = if max == 0 {
-                0.0
-            } else {
-                n as f64 / max as f64 * 100.0
-            };
-            (d, pct)
-        })
-        .collect();
-    NormalizedSeries {
-        label: label.to_string(),
-        points,
-    }
+    NormalizedSeries::from_totals(label, totals)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdns_data::{Cadence, DailySnapshot};
+    use rdns_data::{Cadence, DailySnapshot, DeltaSeries};
     use rdns_model::Hostname;
     use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
@@ -110,12 +106,12 @@ mod tests {
         DailySnapshot { date, records }
     }
 
-    fn series() -> SnapshotSeries {
-        let mut s = SnapshotSeries::new(Cadence::Daily);
+    fn series() -> ColumnarSeries {
+        let mut s = DeltaSeries::new(Cadence::Daily);
         s.push(snapshot(Date::from_ymd(2020, 3, 1), 100));
         s.push(snapshot(Date::from_ymd(2020, 3, 2), 80));
         s.push(snapshot(Date::from_ymd(2020, 3, 3), 40));
-        s
+        s.to_columnar()
     }
 
     #[test]
@@ -156,7 +152,7 @@ mod tests {
 
     #[test]
     fn empty_series_is_all_zero() {
-        let s = SnapshotSeries::new(Cadence::Daily);
+        let s = DeltaSeries::new(Cadence::Daily).to_columnar();
         let ns = percent_of_max("x", &s, &["10.0.0.0/24".parse().unwrap()]);
         assert!(ns.points.is_empty());
         assert!(ns.min_point().is_none());

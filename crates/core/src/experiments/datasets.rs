@@ -2,7 +2,7 @@
 
 use crate::experiments::section5::LeakStudy;
 use crate::report::TextTable;
-use rdns_data::SnapshotDatasetStats;
+use rdns_data::{Cadence, SnapshotDatasetStats};
 
 /// Table 1 contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,11 +36,14 @@ impl Table1 {
     }
 }
 
-/// Compute Table 1 from a leak study's series.
+/// Compute Table 1 from a leak study's window: the daily dataset is every
+/// day of it, the weekly one its Tuesdays.
 pub fn table1(study: &LeakStudy) -> Table1 {
+    let stats =
+        |label, cadence| SnapshotDatasetStats::from_columnar(label, &study.columnar, cadence);
     Table1 {
-        weekly: SnapshotDatasetStats::from_series("Rapid7-like weekly", &study.weekly),
-        daily: SnapshotDatasetStats::from_columnar("OpenINTEL-like daily", &study.columnar),
+        weekly: stats("Rapid7-like weekly", Cadence::Weekly),
+        daily: stats("OpenINTEL-like daily", Cadence::Daily),
     }
 }
 
@@ -48,6 +51,7 @@ pub fn table1(study: &LeakStudy) -> Table1 {
 mod tests {
     use super::*;
     use crate::experiments::Scale;
+    use rdns_model::Weekday;
 
     #[test]
     fn table1_shapes() {
@@ -55,7 +59,17 @@ mod tests {
         let t1 = table1(&study);
         assert!(t1.daily.total_responses > t1.weekly.total_responses);
         assert!(t1.daily.unique_ptrs > 0);
-        assert_eq!(t1.daily.start, study.daily.start_date());
+        assert_eq!(t1.daily.start, Some(study.columnar.days[0].date));
+        let tuesdays = study
+            .columnar
+            .days
+            .iter()
+            .filter(|d| d.date.weekday() == Weekday::Tuesday);
+        assert_eq!(t1.weekly.start, tuesdays.clone().next().map(|d| d.date));
+        assert_eq!(
+            t1.weekly.total_responses,
+            tuesdays.map(|d| d.len() as u64).sum::<u64>()
+        );
         let rendered = t1.render();
         assert!(rendered.contains("OpenINTEL-like daily"));
         assert!(rendered.contains("Rapid7-like weekly"));

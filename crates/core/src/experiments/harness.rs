@@ -3,8 +3,8 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rdns_data::{Cadence, DeltaSeries, Snapshotter, SnapshotSeries};
-use rdns_model::{Date, SimDuration, SimTime, Weekday};
+use rdns_data::{Cadence, DeltaSeries, Snapshotter};
+use rdns_model::{Date, SimDuration, SimTime};
 use rdns_netsim::World;
 use rdns_scan::{Prober, RdnsOutcome, ReactiveConfig, ReactiveScanner, ScanLog};
 use std::net::Ipv4Addr;
@@ -13,69 +13,21 @@ use std::net::Ipv4Addr;
 /// populations peak, matching how daytime measurement reflects occupancy.
 pub const SNAPSHOT_HOUR: u8 = 14;
 
-/// Run the world through `[from, to]`, taking one snapshot per cadence step
-/// at [`SNAPSHOT_HOUR`].
-pub fn collect_series(
-    world: &mut World,
-    from: Date,
-    to: Date,
-    cadence: Cadence,
-) -> SnapshotSeries {
+/// Run the world through `[from, to]`, taking one snapshot a day at
+/// [`SNAPSHOT_HOUR`]. Each day is pushed straight into a [`DeltaSeries`], so
+/// the collection never holds more than one full day plus the churn; the
+/// weekly (Rapid7-like) dataset is the [`Cadence::Weekly`] sample of the
+/// same days.
+pub fn collect_series(world: &mut World, from: Date, to: Date) -> DeltaSeries {
     let snapper = Snapshotter::new(world.store().clone());
-    let mut series = SnapshotSeries::new(cadence);
+    let mut series = DeltaSeries::new(Cadence::Daily);
     let mut day = from;
     while day <= to {
         world.step_until(SimTime::from_date_hms(day, SNAPSHOT_HOUR, 0, 0));
         series.push(snapper.take(day));
-        day = day.plus_days(cadence.interval_days());
-    }
-    series
-}
-
-/// Like [`collect_series`], but delta-encoded: each day is pushed straight
-/// into a [`DeltaSeries`], so the collection never holds more than one full
-/// day plus the churn — the memory shape long windows over large worlds
-/// need.
-pub fn collect_delta_series(
-    world: &mut World,
-    from: Date,
-    to: Date,
-    cadence: Cadence,
-) -> DeltaSeries {
-    let snapper = Snapshotter::new(world.store().clone());
-    let mut series = DeltaSeries::new(cadence);
-    let mut day = from;
-    while day <= to {
-        world.step_until(SimTime::from_date_hms(day, SNAPSHOT_HOUR, 0, 0));
-        series.push(snapper.take(day));
-        day = day.plus_days(cadence.interval_days());
-    }
-    series
-}
-
-/// Collect daily and weekly series simultaneously (OpenINTEL + Rapid7 over
-/// the same world, like §3's two datasets). The weekly series samples
-/// Tuesdays, "a single weekday every week".
-pub fn collect_dual_series(
-    world: &mut World,
-    from: Date,
-    to: Date,
-) -> (SnapshotSeries, SnapshotSeries) {
-    let snapper = Snapshotter::new(world.store().clone());
-    let mut daily = SnapshotSeries::new(Cadence::Daily);
-    let mut weekly = SnapshotSeries::new(Cadence::Weekly);
-    let mut day = from;
-    while day <= to {
-        world.step_until(SimTime::from_date_hms(day, SNAPSHOT_HOUR, 0, 0));
-        let snap = snapper.take(day);
-        if day.weekday() == Weekday::Tuesday {
-            // lint:allow(snapshot-clone) -- the weekly provider (Rapid7 vs OpenINTEL) owns an independent copy of its sample days
-            weekly.push(snap.clone());
-        }
-        daily.push(snap);
         day = day.succ();
     }
-    (daily, weekly)
+    series
 }
 
 /// Fault probabilities for fast-mode supplemental runs (Fig. 6's error mix).
@@ -211,24 +163,11 @@ mod tests {
     fn daily_series_collection() {
         let from = Date::from_ymd(2021, 11, 1);
         let mut world = small_world(from);
-        let series = collect_series(&mut world, from, from.plus_days(4), Cadence::Daily);
+        let series = collect_series(&mut world, from, from.plus_days(4));
         assert_eq!(series.len(), 5);
+        assert_eq!(series.end_date(), Some(from.plus_days(4)));
         // Afternoon snapshots of a campus should contain client PTRs.
         assert!(series.total_responses() > 0);
-    }
-
-    #[test]
-    fn dual_series_weekly_subset() {
-        let from = Date::from_ymd(2021, 11, 1); // Monday
-        let mut world = small_world(from);
-        let (daily, weekly) = collect_dual_series(&mut world, from, from.plus_days(13));
-        assert_eq!(daily.len(), 14);
-        assert_eq!(weekly.len(), 2); // two Tuesdays
-        assert_eq!(weekly.snapshots[0].date.weekday(), Weekday::Tuesday);
-        // Weekly snapshots must be exact copies of the matching daily ones.
-        let tue = weekly.snapshots[0].date;
-        let matching = daily.snapshots.iter().find(|s| s.date == tue).unwrap();
-        assert_eq!(matching, &weekly.snapshots[0]);
     }
 
     #[test]

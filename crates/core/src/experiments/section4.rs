@@ -4,11 +4,10 @@ use crate::dynamicity::{
     identify_dynamic_par, prefix_dynamicity, summarize_fractions, ConfusionMatrix,
     DynamicityParams, FractionSummary,
 };
-use crate::experiments::harness::collect_delta_series;
+use crate::experiments::harness::collect_series;
 use crate::experiments::section5::LeakStudy;
 use crate::experiments::Scale;
 use crate::report::TextTable;
-use rdns_data::Cadence;
 use rdns_model::{Date, Slash24};
 use rdns_netsim::spec::{presets, DynDnsMode, SubnetRole};
 use rdns_netsim::{World, WorldConfig};
@@ -133,7 +132,7 @@ pub fn validation(scale: &Scale) -> Validation {
     });
     // Delta-collected, then streamed into the columnar view: the whole
     // window is never held in row form.
-    let series = collect_delta_series(&mut world, from, to, Cadence::Daily);
+    let series = collect_series(&mut world, from, to);
     let matrix = series.to_columnar().counts_matrix();
     let params = DynamicityParams {
         min_daily_addrs: scale.min_daily_addrs,

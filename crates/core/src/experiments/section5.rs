@@ -1,12 +1,12 @@
 //! §5 experiments: the leak-identification study and Figs. 2–4.
 //!
 //! [`LeakStudy::run`] simulates a mixed population (background organisations
-//! plus the Table 4 focus networks), collects daily + weekly snapshot series
-//! over the dynamicity window, runs the §4.1 heuristic and the §5.1 suffix
-//! pipeline, and caches everything the individual figures need.
+//! plus the Table 4 focus networks), collects the daily snapshot window once
+//! (the weekly dataset is its Tuesdays), runs the §4.1 heuristic and the
+//! §5.1 suffix pipeline, and caches everything the individual figures need.
 
 use crate::dynamicity::{identify_dynamic_par, DynamicityParams, DynamicityResult};
-use crate::experiments::harness::collect_dual_series;
+use crate::experiments::harness::collect_series;
 use crate::experiments::population::{generate_population, PopulationConfig};
 use crate::experiments::Scale;
 use crate::names::match_given_names;
@@ -14,7 +14,7 @@ use crate::report::{log_bar, TextTable};
 use crate::suffix::{identify_leaking_suffixes, LeakParams, SuffixStats};
 use crate::terms::{extract_terms, DEVICE_TERMS};
 use crate::classify::TypeBreakdown;
-use rdns_data::{ColumnarSeries, SnapshotSeries};
+use rdns_data::ColumnarSeries;
 use rdns_model::{Date, Hostname, Ipv4Net, Slash24};
 use rdns_netsim::spec::presets;
 use rdns_netsim::{NetworkSpec, World, WorldConfig};
@@ -25,13 +25,10 @@ use std::net::Ipv4Addr;
 pub struct LeakStudy {
     /// The scale it ran at.
     pub scale: Scale,
-    /// Daily (OpenINTEL-like) series.
-    pub daily: SnapshotSeries,
-    /// Columnar analysis view of the daily series (shared hostname pool,
-    /// sorted address columns).
+    /// Columnar view of the daily (OpenINTEL-like) window: shared hostname
+    /// pool, sorted address columns. The weekly (Rapid7-like) dataset is its
+    /// [`Cadence::Weekly`](rdns_data::Cadence::Weekly) days.
     pub columnar: ColumnarSeries,
-    /// Weekly (Rapid7-like) series.
-    pub weekly: SnapshotSeries,
     /// §4.1 output.
     pub dynamicity: DynamicityResult,
     /// All announced prefixes of the simulated organisations.
@@ -60,11 +57,13 @@ impl LeakStudy {
             start: from,
             networks,
         });
-        let (daily, weekly) = collect_dual_series(&mut world, from, to);
+        let series = collect_series(&mut world, from, to);
+        drop(world);
 
         // Analysis runs over the columnar view: sorted address columns with
         // an interned hostname pool, sharded per /24 and per day for rayon.
-        let columnar = ColumnarSeries::from_series(&daily);
+        let columnar = series.to_columnar();
+        drop(series);
         let matrix = columnar.counts_matrix();
         let dyn_params = DynamicityParams {
             min_daily_addrs: scale.min_daily_addrs,
@@ -85,9 +84,7 @@ impl LeakStudy {
 
         LeakStudy {
             scale: *scale,
-            daily,
             columnar,
-            weekly,
             dynamicity,
             announced,
             suffix_stats,
@@ -248,7 +245,7 @@ mod tests {
     #[test]
     fn study_finds_dynamic_blocks_and_leaky_suffixes() {
         let s = study();
-        assert!(s.daily.len() as u32 == Scale::tiny().window_days);
+        assert!(s.columnar.len() as u32 == Scale::tiny().window_days);
         assert!(
             !s.dynamicity.dynamic.is_empty(),
             "campus pools must register as dynamic"

@@ -2,9 +2,10 @@
 
 use crate::casestudies::brian::{track_devices, DeviceTimeline};
 use crate::casestudies::heist::{hourly_activity, quietest_hour, HourlyActivity};
-use crate::casestudies::wfh::{percent_of_max_columnar, NormalizedSeries};
-use crate::experiments::harness::{collect_dual_series, run_supplemental, FaultMix};
+use crate::casestudies::wfh::{percent_of_max, NormalizedSeries};
+use crate::experiments::harness::{collect_series, run_supplemental, FaultMix};
 use crate::experiments::Scale;
+use rdns_data::Cadence;
 use rdns_model::{Date, Ipv4Net};
 use rdns_netsim::spec::presets;
 use rdns_netsim::{BuildingTag, World, WorldConfig};
@@ -142,13 +143,14 @@ pub fn fig9(scale: &Scale, from: Date, to: Date) -> Fig9 {
         start: from,
         networks: specs,
     });
-    let (daily, _) = collect_dual_series(&mut world, from, to);
+    let series = collect_series(&mut world, from, to);
+    drop(world);
     // One shared columnar view serves all five per-network scans.
-    let columnar = rdns_data::ColumnarSeries::from_series(&daily);
+    let columnar = series.to_columnar();
     Fig9 {
         series: meta
             .iter()
-            .map(|(name, prefixes)| percent_of_max_columnar(name, &columnar, prefixes))
+            .map(|(name, prefixes)| percent_of_max(name, &columnar, prefixes))
             .collect(),
     }
 }
@@ -231,21 +233,32 @@ pub fn fig10(scale: &Scale, weekly_from: Date, daily_from: Date, to: Date) -> Fi
         start: weekly_from,
         networks: vec![spec],
     });
-    let (all_daily, weekly) = collect_dual_series(&mut world, weekly_from, to);
-    // The daily (OpenINTEL-like) view only exists from `daily_from`.
-    let mut daily = rdns_data::SnapshotSeries::new(rdns_data::Cadence::Daily);
-    for s in &all_daily.snapshots {
-        if s.date >= daily_from {
-            daily.push(s.clone());
-        }
-    }
-    let daily_col = rdns_data::ColumnarSeries::from_series(&daily);
-    let weekly_col = rdns_data::ColumnarSeries::from_series(&weekly);
+    let series = collect_series(&mut world, weekly_from, to);
+    drop(world);
+    let columnar = series.to_columnar();
+    let totals = |prefixes: &[Ipv4Net]| {
+        columnar.daily_totals_where(|addr| prefixes.iter().any(|p| p.contains(addr)))
+    };
+    let (education, housing) = (totals(&education), totals(&housing));
+    // The daily (OpenINTEL-like) dataset only exists from `daily_from`; the
+    // weekly (Rapid7-like) one is the Tuesdays of the whole window. Each is
+    // normalised to its own maximum.
+    let daily = |label: &str, totals: &[(Date, usize)]| {
+        let days = totals.iter().copied().filter(|(d, _)| *d >= daily_from);
+        NormalizedSeries::from_totals(label, days)
+    };
+    let weekly = |label: &str, totals: &[(Date, usize)]| {
+        let days = totals
+            .iter()
+            .copied()
+            .filter(|(d, _)| Cadence::Weekly.samples(*d));
+        NormalizedSeries::from_totals(label, days)
+    };
     Fig10 {
-        education_daily: percent_of_max_columnar("education (daily)", &daily_col, &education),
-        housing_daily: percent_of_max_columnar("housing (daily)", &daily_col, &housing),
-        education_weekly: percent_of_max_columnar("education (weekly)", &weekly_col, &education),
-        housing_weekly: percent_of_max_columnar("housing (weekly)", &weekly_col, &housing),
+        education_daily: daily("education (daily)", &education),
+        housing_daily: daily("housing (daily)", &housing),
+        education_weekly: weekly("education (weekly)", &education),
+        housing_weekly: weekly("housing (weekly)", &housing),
     }
 }
 

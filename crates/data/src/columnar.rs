@@ -1,20 +1,21 @@
 //! Columnar snapshot-series representation.
 //!
-//! [`SnapshotSeries`] stores one `BTreeMap<Ipv4Addr, Hostname>` per day —
-//! convenient for incremental collection, but expensive as *analysis input*:
-//! every §4/§5 pass walks pointer-chasing tree nodes and re-hashes every
-//! address, and every day owns its own copy of every hostname string.
+//! [`ColumnarSeries`] is the analysis-side layout, built from a collected
+//! window by [`DeltaSeries::to_columnar`](crate::DeltaSeries::to_columnar).
+//! A row-form day (`BTreeMap<Ipv4Addr, Hostname>`) is expensive as analysis
+//! input: every §4/§5 pass would walk pointer-chasing tree nodes, and every
+//! day would own its own copy of every hostname string.
 //!
-//! [`ColumnarSeries`] is the analysis-side layout. Each day is two parallel
-//! columns: a sorted `Vec<u32>` of addresses and a `Vec<NameId>` of indices
-//! into a [`NamePool`] shared by all days, so a hostname that appears on 90
-//! days is stored once. Because the address column is sorted, per-/24
-//! aggregation is a run-length scan (`addr >> 8` changes ⇒ new block) with
-//! no per-address hashing, and day columns are independent — the natural
-//! shard for rayon fan-out. Reductions merge per-day results in day order,
-//! so output is identical at any thread count.
+//! Here each day is two parallel columns: a sorted `Vec<u32>` of addresses
+//! and a `Vec<NameId>` of indices into a [`NamePool`] shared by all days, so
+//! a hostname that appears on 90 days is stored once. Because the address
+//! column is sorted, per-/24 aggregation is a run-length scan (`addr >> 8`
+//! changes ⇒ new block) with no per-address hashing, and day columns are
+//! independent — the natural shard for rayon fan-out. Reductions merge
+//! per-day results in day order, so output is identical at any thread
+//! count.
 
-use crate::snapshot::{Cadence, DailySnapshot, SnapshotSeries};
+use crate::snapshot::Cadence;
 use rayon::prelude::*;
 use rdns_model::{Date, Hostname, Slash24};
 use std::collections::{BTreeMap, HashMap};
@@ -114,7 +115,8 @@ impl ColumnarDay {
     }
 }
 
-/// A full series in columnar form. Build with [`ColumnarSeries::from_series`].
+/// A full series in columnar form. Build with
+/// [`DeltaSeries::to_columnar`](crate::DeltaSeries::to_columnar).
 #[derive(Debug, Clone)]
 pub struct ColumnarSeries {
     /// Collection cadence, carried over from the source series.
@@ -126,57 +128,6 @@ pub struct ColumnarSeries {
 }
 
 impl ColumnarSeries {
-    /// Convert a row-oriented series. Day maps are already address-sorted
-    /// (`BTreeMap`), so the columns come out sorted for free.
-    pub fn from_series(series: &SnapshotSeries) -> ColumnarSeries {
-        let mut pool = NamePool::new();
-        let days = series
-            .snapshots
-            .iter()
-            .map(|snap| {
-                let mut addrs = Vec::with_capacity(snap.records.len());
-                let mut names = Vec::with_capacity(snap.records.len());
-                for (addr, host) in &snap.records {
-                    addrs.push(u32::from(*addr));
-                    names.push(pool.intern(host.as_str()));
-                }
-                ColumnarDay {
-                    date: snap.date,
-                    addrs,
-                    names,
-                }
-            })
-            .collect();
-        ColumnarSeries {
-            cadence: series.cadence,
-            pool,
-            days,
-        }
-    }
-
-    /// Convert back to the row-oriented representation.
-    pub fn to_series(&self) -> SnapshotSeries {
-        SnapshotSeries {
-            cadence: self.cadence,
-            snapshots: self
-                .days
-                .iter()
-                .map(|day| {
-                    let records: BTreeMap<Ipv4Addr, Hostname> = day
-                        .addrs
-                        .iter()
-                        .zip(&day.names)
-                        .map(|(a, id)| (Ipv4Addr::from(*a), Hostname::new(self.pool.get(*id))))
-                        .collect();
-                    DailySnapshot {
-                        date: day.date,
-                        records,
-                    }
-                })
-                .collect(),
-        }
-    }
-
     /// Number of days.
     pub fn len(&self) -> usize {
         self.days.len()
@@ -185,32 +136,6 @@ impl ColumnarSeries {
     /// Whether the series is empty.
     pub fn is_empty(&self) -> bool {
         self.days.is_empty()
-    }
-
-    /// First day's date.
-    pub fn start_date(&self) -> Option<Date> {
-        self.days.first().map(|d| d.date)
-    }
-
-    /// Last day's date.
-    pub fn end_date(&self) -> Option<Date> {
-        self.days.last().map(|d| d.date)
-    }
-
-    /// Total PTR responses across all days.
-    pub fn total_responses(&self) -> u64 {
-        self.days.iter().map(|d| d.len() as u64).sum()
-    }
-
-    /// Distinct hostnames that actually occur in some day column.
-    pub fn unique_ptrs(&self) -> usize {
-        let mut used = vec![false; self.pool.len()];
-        for day in &self.days {
-            for id in &day.names {
-                used[id.0 as usize] = true;
-            }
-        }
-        used.iter().filter(|u| **u).count()
     }
 
     /// Distinct /24 blocks with at least one PTR anywhere in the series.
@@ -226,9 +151,11 @@ impl ColumnarSeries {
     }
 
     /// Per-/24 daily count matrix aligned with `self.days` — the §4.1
-    /// heuristic's input, equal to [`SnapshotSeries::counts_matrix`] on the
-    /// source series. Day columns are scanned in parallel; the merge walks
-    /// per-day runs in day order, so the result is thread-count independent.
+    /// heuristic's input: column `i` holds day `i`'s
+    /// [`DailySnapshot::counts_by_slash24`](crate::DailySnapshot::counts_by_slash24),
+    /// with 0 where a block has no records that day. Day columns are scanned
+    /// in parallel; the merge walks per-day runs in day order, so the result
+    /// is thread-count independent.
     pub fn counts_matrix(&self) -> BTreeMap<Slash24, Vec<u32>> {
         let days = self.days.len();
         let per_day: Vec<Vec<(u32, u32)>> =
@@ -281,74 +208,81 @@ impl ColumnarSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DailySnapshot, DeltaSeries};
+    use std::collections::BTreeSet;
 
-    fn series_fixture() -> SnapshotSeries {
-        let mut series = SnapshotSeries::new(Cadence::Daily);
-        let day1: BTreeMap<Ipv4Addr, Hostname> = [
-            ("10.0.1.5", "a.example.edu"),
-            ("10.0.1.9", "b.example.edu"),
-            ("10.0.2.7", "c.example.edu"),
+    /// Two days exactly as a `Snapshotter` would return them.
+    fn days_fixture() -> Vec<DailySnapshot> {
+        let day = |date, records: &[(&str, &str)]| DailySnapshot {
+            date,
+            records: records
+                .iter()
+                .map(|(a, h)| (a.parse().unwrap(), Hostname::new(h)))
+                .collect(),
+        };
+        vec![
+            day(
+                Date::from_ymd(2021, 1, 1),
+                &[
+                    ("10.0.1.5", "a.example.edu"),
+                    ("10.0.1.9", "b.example.edu"),
+                    ("10.0.2.7", "c.example.edu"),
+                ],
+            ),
+            day(
+                Date::from_ymd(2021, 1, 2),
+                &[
+                    ("10.0.1.5", "a.example.edu"), // same record persists
+                    ("10.0.2.7", "d.example.edu"), // same addr, new name
+                    ("192.168.0.1", "e.example.org"),
+                ],
+            ),
         ]
-        .iter()
-        .map(|(a, h)| (a.parse().unwrap(), Hostname::new(h)))
-        .collect();
-        let day2: BTreeMap<Ipv4Addr, Hostname> = [
-            ("10.0.1.5", "a.example.edu"), // same record persists
-            ("10.0.2.7", "d.example.edu"), // same addr, new name
-            ("192.168.0.1", "e.example.org"),
-        ]
-        .iter()
-        .map(|(a, h)| (a.parse().unwrap(), Hostname::new(h)))
-        .collect();
-        series.push(DailySnapshot {
-            date: Date::from_ymd(2021, 1, 1),
-            records: day1,
-        });
-        series.push(DailySnapshot {
-            date: Date::from_ymd(2021, 1, 2),
-            records: day2,
-        });
-        series
     }
 
-    #[test]
-    fn round_trip_preserves_series() {
-        let series = series_fixture();
-        let col = ColumnarSeries::from_series(&series);
-        assert_eq!(col.to_series(), series);
+    fn columnar(days: &[DailySnapshot]) -> ColumnarSeries {
+        let mut series = DeltaSeries::new(Cadence::Daily);
+        for day in days {
+            series.push(day.clone());
+        }
+        series.to_columnar()
     }
 
     #[test]
     fn interning_shares_names_across_days() {
-        let col = ColumnarSeries::from_series(&series_fixture());
+        let col = columnar(&days_fixture());
         // 5 distinct hostnames despite 6 records.
         assert_eq!(col.pool.len(), 5);
-        assert_eq!(col.unique_ptrs(), 5);
         assert_eq!(col.days[0].names[0], col.days[1].names[0]);
     }
 
     #[test]
-    fn stats_match_row_representation() {
-        let series = series_fixture();
-        let col = ColumnarSeries::from_series(&series);
-        assert_eq!(col.len(), series.len());
-        assert_eq!(col.start_date(), series.start_date());
-        assert_eq!(col.end_date(), series.end_date());
-        assert_eq!(col.total_responses(), series.total_responses());
-        assert_eq!(col.unique_ptrs(), series.unique_ptrs());
-        assert_eq!(col.unique_slash24s(), series.unique_slash24s());
+    fn unique_slash24s_match_row_representation() {
+        let days = days_fixture();
+        let blocks: BTreeSet<Slash24> = days
+            .iter()
+            .flat_map(|d| d.counts_by_slash24().into_keys())
+            .collect();
+        assert_eq!(columnar(&days).unique_slash24s(), blocks.len());
     }
 
     #[test]
     fn counts_matrix_matches_row_representation() {
-        let series = series_fixture();
-        let col = ColumnarSeries::from_series(&series);
-        assert_eq!(col.counts_matrix(), series.counts_matrix());
+        let days = days_fixture();
+        let matrix = columnar(&days).counts_matrix();
+        for (i, day) in days.iter().enumerate() {
+            let counts = day.counts_by_slash24();
+            assert!(counts.keys().all(|block| matrix.contains_key(block)));
+            for (block, column) in &matrix {
+                let expected = counts.get(block).copied().unwrap_or(0);
+                assert_eq!(column[i], expected, "{block:?} on day {i}");
+            }
+        }
     }
 
     #[test]
     fn slash24_runs_are_run_length_counts() {
-        let col = ColumnarSeries::from_series(&series_fixture());
+        let col = columnar(&days_fixture());
         let runs = col.days[0].slash24_runs();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].1, 2); // 10.0.1.0/24
@@ -358,7 +292,7 @@ mod tests {
 
     #[test]
     fn observations_sorted_and_unique() {
-        let col = ColumnarSeries::from_series(&series_fixture());
+        let col = columnar(&days_fixture());
         let obs = col.observations();
         // 5 unique (addr, hostname) pairs; 10.0.1.5→a appears on both days.
         assert_eq!(obs.len(), 5);
@@ -372,12 +306,15 @@ mod tests {
 
     #[test]
     fn daily_totals_with_predicate() {
-        let series = series_fixture();
-        let col = ColumnarSeries::from_series(&series);
+        let days = days_fixture();
         let net: rdns_model::Ipv4Net = "10.0.0.0/16".parse().unwrap();
+        let expected: Vec<(Date, usize)> = days
+            .iter()
+            .map(|d| (d.date, d.count_where(|a| net.contains(a))))
+            .collect();
         assert_eq!(
-            col.daily_totals_where(|a| net.contains(a)),
-            series.daily_totals_where(|a| net.contains(a)),
+            columnar(&days).daily_totals_where(|a| net.contains(a)),
+            expected
         );
     }
 }

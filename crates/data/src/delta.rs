@@ -1,10 +1,10 @@
-//! Delta-encoded snapshot series.
+//! Delta-encoded snapshot series — the one way a study collects a window.
 //!
-//! A [`SnapshotSeries`] stores every day as a full
-//! `address → hostname` map. Between consecutive days of real rDNS data
-//! almost everything is identical — the paper's churn analyses (§4, Fig. 7)
-//! exist precisely because only a small fraction of records move per day —
-//! so a 90-day window stores each stable record ~90 times.
+//! Between consecutive days of real rDNS data almost everything is
+//! identical — the paper's churn analyses (§4, Fig. 7) exist precisely
+//! because only a small fraction of records move per day — so storing every
+//! day as a full `address → hostname` map would store each stable record
+//! ~90 times over a 90-day window.
 //!
 //! [`DeltaSeries`] stores day 0 in full plus one [`DeltaSnapshot`] per
 //! subsequent day: the *adds* (addresses that gained a PTR), *renames*
@@ -12,15 +12,14 @@
 //! their PTR) against the previous day. Days are materialised lazily —
 //! [`DeltaSeries::materialize`] for one day, [`DeltaSeries::for_each_day`]
 //! to stream the whole window holding only a single day in memory — and
-//! [`DeltaSeries::to_columnar`] feeds the §4–§7 columnar drivers without
-//! ever materialising the row series.
+//! [`DeltaSeries::to_columnar`] builds the columnar view the §4–§7 analyses
+//! read, without ever holding the window in row form.
 //!
-//! The determinism contract is byte identity: materialising every day of a
-//! `DeltaSeries` yields exactly the `SnapshotSeries` the same pushes would
-//! have produced.
+//! The determinism contract is byte identity: materialising day `i` yields
+//! exactly the [`DailySnapshot`] that was pushed as day `i`.
 
 use crate::columnar::{ColumnarDay, ColumnarSeries, NamePool};
-use crate::snapshot::{Cadence, DailySnapshot, SnapshotSeries};
+use crate::snapshot::{Cadence, DailySnapshot};
 use rdns_model::{Date, Hostname};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -107,10 +106,10 @@ impl DeltaSnapshot {
 
 /// A longitudinal series stored as day 0 plus per-day deltas.
 ///
-/// Push full [`DailySnapshot`]s exactly as with a
-/// [`SnapshotSeries`]; only the changed records are
-/// retained. The `tail` cursor (the latest day, kept materialised) makes
-/// each push a single sorted merge, O(day size), with no re-materialisation.
+/// Push full [`DailySnapshot`]s as the snapshotter takes them; only the
+/// changed records are retained. The `tail` cursor (the latest day, kept
+/// materialised) makes each push a single sorted merge, O(day size), with no
+/// re-materialisation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeltaSeries {
     /// Collection cadence.
@@ -159,16 +158,6 @@ impl DeltaSeries {
                 self.tail = snapshot.records;
             }
         }
-    }
-
-    /// Convert an eagerly-stored series (used by differential tests; the
-    /// streaming collectors push days directly instead).
-    pub fn from_series(series: &SnapshotSeries) -> DeltaSeries {
-        let mut out = DeltaSeries::new(series.cadence);
-        for snap in &series.snapshots {
-            out.push(snap.clone());
-        }
-        out
     }
 
     /// Number of days.
@@ -234,18 +223,6 @@ impl DeltaSeries {
         }
     }
 
-    /// Materialise the whole series eagerly (differential tests; analysis
-    /// code should stream via [`DeltaSeries::for_each_day`] or convert with
-    /// [`DeltaSeries::to_columnar`] instead).
-    pub fn to_series(&self) -> SnapshotSeries {
-        let mut snapshots = Vec::with_capacity(self.len());
-        self.for_each_day(|day| snapshots.push(day.clone()));
-        SnapshotSeries {
-            cadence: self.cadence,
-            snapshots,
-        }
-    }
-
     /// Build the columnar analysis view in one streaming pass: sorted
     /// address columns plus an interned hostname pool, without ever holding
     /// more than one row-form day.
@@ -287,42 +264,57 @@ mod tests {
         }
     }
 
-    fn fixture() -> SnapshotSeries {
+    /// Three days exactly as a `Snapshotter` would return them.
+    fn fixture() -> Vec<DailySnapshot> {
         let d1 = Date::from_ymd(2021, 1, 1);
-        let mut series = SnapshotSeries::new(Cadence::Daily);
-        series.push(day(
-            d1,
-            &[
-                ("10.0.1.5", "a.example.edu"),
-                ("10.0.1.9", "b.example.edu"),
-                ("10.0.2.7", "c.example.edu"),
-            ],
-        ));
-        // Day 2: .9 removed, .7 renamed, new record appears.
-        series.push(day(
-            d1.succ(),
-            &[
-                ("10.0.1.5", "a.example.edu"),
-                ("10.0.2.7", "d.example.edu"),
-                ("192.168.0.1", "e.example.org"),
-            ],
-        ));
-        // Day 3: identical to day 2.
-        series.push(day(
-            d1.plus_days(2),
-            &[
-                ("10.0.1.5", "a.example.edu"),
-                ("10.0.2.7", "d.example.edu"),
-                ("192.168.0.1", "e.example.org"),
-            ],
-        ));
-        series
+        vec![
+            day(
+                d1,
+                &[
+                    ("10.0.1.5", "a.example.edu"),
+                    ("10.0.1.9", "b.example.edu"),
+                    ("10.0.2.7", "c.example.edu"),
+                ],
+            ),
+            // Day 2: .9 removed, .7 renamed, new record appears.
+            day(
+                d1.succ(),
+                &[
+                    ("10.0.1.5", "a.example.edu"),
+                    ("10.0.2.7", "d.example.edu"),
+                    ("192.168.0.1", "e.example.org"),
+                ],
+            ),
+            // Day 3: identical to day 2.
+            day(
+                d1.plus_days(2),
+                &[
+                    ("10.0.1.5", "a.example.edu"),
+                    ("10.0.2.7", "d.example.edu"),
+                    ("192.168.0.1", "e.example.org"),
+                ],
+            ),
+        ]
+    }
+
+    fn delta_of(days: &[DailySnapshot]) -> DeltaSeries {
+        let mut delta = DeltaSeries::new(Cadence::Daily);
+        for day in days {
+            delta.push(day.clone());
+        }
+        delta
+    }
+
+    fn materialized(delta: &DeltaSeries) -> Vec<DailySnapshot> {
+        let mut days = Vec::new();
+        delta.for_each_day(|day| days.push(day.clone()));
+        days
     }
 
     #[test]
     fn delta_classifies_adds_renames_removes() {
-        let series = fixture();
-        let delta = DeltaSnapshot::between(&series.snapshots[0], &series.snapshots[1]);
+        let days = fixture();
+        let delta = DeltaSnapshot::between(&days[0], &days[1]);
         assert_eq!(delta.removes, vec!["10.0.1.9".parse::<Ipv4Addr>().unwrap()]);
         assert_eq!(
             delta.renames,
@@ -336,30 +328,30 @@ mod tests {
 
     #[test]
     fn quiet_day_is_an_empty_delta() {
-        let series = fixture();
-        let delta = DeltaSnapshot::between(&series.snapshots[1], &series.snapshots[2]);
+        let days = fixture();
+        let delta = DeltaSnapshot::between(&days[1], &days[2]);
         assert!(delta.is_empty());
         assert_eq!(delta.len(), 0);
     }
 
     #[test]
-    fn delta_series_round_trips_eager_series() {
-        let series = fixture();
-        let delta = DeltaSeries::from_series(&series);
-        assert_eq!(delta.to_series(), series);
-        assert_eq!(delta.len(), series.len());
-        assert_eq!(delta.start_date(), series.start_date());
-        assert_eq!(delta.end_date(), series.end_date());
-        assert_eq!(delta.total_responses(), series.total_responses());
+    fn delta_series_reproduces_the_pushed_days() {
+        let days = fixture();
+        let delta = delta_of(&days);
+        assert_eq!(materialized(&delta), days);
+        assert_eq!(delta.len(), days.len());
+        assert_eq!(delta.start_date(), Some(days[0].date));
+        assert_eq!(delta.end_date(), Some(days[2].date));
+        assert_eq!(delta.total_responses(), 9);
         // 3 days × 3 records stored as 3 + the 3 changed records of day 2.
         assert_eq!(delta.total_changes(), 3);
     }
 
     #[test]
     fn lazy_materialization_matches_each_day() {
-        let series = fixture();
-        let delta = DeltaSeries::from_series(&series);
-        for (i, snap) in series.snapshots.iter().enumerate() {
+        let days = fixture();
+        let delta = delta_of(&days);
+        for (i, snap) in days.iter().enumerate() {
             assert_eq!(delta.materialize(i).as_ref(), Some(snap));
         }
         assert_eq!(delta.materialize(3), None);
@@ -367,30 +359,31 @@ mod tests {
 
     #[test]
     fn streaming_visits_days_in_order() {
-        let series = fixture();
-        let delta = DeltaSeries::from_series(&series);
+        let days = fixture();
+        let delta = delta_of(&days);
         let mut dates = Vec::new();
         let mut lens = Vec::new();
         delta.for_each_day(|d| {
             dates.push(d.date);
             lens.push(d.len());
         });
-        assert_eq!(
-            dates,
-            series.snapshots.iter().map(|s| s.date).collect::<Vec<_>>()
-        );
+        assert_eq!(dates, days.iter().map(|s| s.date).collect::<Vec<_>>());
         assert_eq!(lens, vec![3, 3, 3]);
     }
 
     #[test]
-    fn columnar_view_matches_eager_conversion() {
-        let series = fixture();
-        let delta = DeltaSeries::from_series(&series);
-        let streamed = delta.to_columnar();
-        let eager = ColumnarSeries::from_series(&series);
-        assert_eq!(streamed.days, eager.days);
-        assert_eq!(streamed.counts_matrix(), eager.counts_matrix());
-        assert_eq!(streamed.to_series(), series);
+    fn columnar_view_holds_each_day() {
+        let days = fixture();
+        let col = delta_of(&days).to_columnar();
+        assert_eq!(col.len(), days.len());
+        for (day, taken) in col.days.iter().zip(&days) {
+            assert_eq!(day.date, taken.date);
+            let addrs: Vec<u32> = taken.records.keys().map(|a| u32::from(*a)).collect();
+            assert_eq!(day.addrs, addrs);
+            let names: Vec<&str> = day.names.iter().map(|id| col.pool.get(*id)).collect();
+            let expected: Vec<&str> = taken.records.values().map(|h| h.as_str()).collect();
+            assert_eq!(names, expected);
+        }
     }
 
     #[test]
@@ -402,15 +395,15 @@ mod tests {
         let mut called = false;
         delta.for_each_day(|_| called = true);
         assert!(!called);
-        assert_eq!(delta.to_series(), SnapshotSeries::new(Cadence::Weekly));
+        assert!(delta.to_columnar().is_empty());
     }
 
     #[test]
     fn json_round_trip() {
-        let delta = DeltaSeries::from_series(&fixture());
+        let delta = delta_of(&fixture());
         let json = serde_json::to_string(&delta).unwrap();
         let back: DeltaSeries = serde_json::from_str(&json).unwrap();
         assert_eq!(back, delta);
-        assert_eq!(back.to_series(), delta.to_series());
+        assert_eq!(materialized(&back), fixture());
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! The paper retains its supplemental data "in encrypted form on our
 //! institution's servers" for reproducibility (§9); this module provides the
-//! plumbing: snapshot series as JSON, scan logs as the same CSV pair the
-//! measurement tools write.
+//! plumbing: delta-encoded snapshot series as JSON, scan logs as the same
+//! CSV pair the measurement tools write.
 
-use crate::snapshot::SnapshotSeries;
+use crate::delta::DeltaSeries;
 use rdns_scan::ScanLog;
 use std::fmt;
 use std::fs;
@@ -54,14 +54,14 @@ impl From<rdns_scan::records::CsvError> for PersistError {
 }
 
 /// Write a snapshot series as JSON.
-pub fn save_series(series: &SnapshotSeries, path: &Path) -> Result<(), PersistError> {
-    fs::write(path, series.to_json()?)?;
+pub fn save_series(series: &DeltaSeries, path: &Path) -> Result<(), PersistError> {
+    fs::write(path, serde_json::to_string(series)?)?;
     Ok(())
 }
 
 /// Load a snapshot series from JSON.
-pub fn load_series(path: &Path) -> Result<SnapshotSeries, PersistError> {
-    Ok(SnapshotSeries::from_json(&fs::read_to_string(path)?)?)
+pub fn load_series(path: &Path) -> Result<DeltaSeries, PersistError> {
+    Ok(serde_json::from_str(&fs::read_to_string(path)?)?)
 }
 
 /// Write a scan log as the measurement tools' CSV pair:
@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn series_roundtrip_via_disk() {
         let dir = scratch_dir("series");
-        let mut series = SnapshotSeries::new(Cadence::Daily);
+        let mut series = DeltaSeries::new(Cadence::Daily);
         let mut records = BTreeMap::new();
         records.insert(
             "192.0.2.1".parse().unwrap(),

@@ -1,10 +1,11 @@
-//! rDNS snapshots and snapshot series.
+//! rDNS snapshots: one day of PTR records, and the snapshotter that takes
+//! it from a DNS store.
 
 use rdns_dns::{DnsStore, ZoneStore};
-use rdns_model::{Date, Hostname, Slash24};
+use rdns_model::{Date, Hostname, Slash24, Weekday};
 use rdns_telemetry::{Counter, Determinism, Gauge, Registry};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Measurement cadence of a series.
@@ -12,16 +13,17 @@ use std::net::Ipv4Addr;
 pub enum Cadence {
     /// One snapshot per day (OpenINTEL).
     Daily,
-    /// One snapshot per week (Rapid7 Sonar, "a single weekday every week").
+    /// One snapshot per week (Rapid7 Sonar, "a single weekday every week"):
+    /// the Tuesdays of a daily window.
     Weekly,
 }
 
 impl Cadence {
-    /// Days between snapshots.
-    pub fn interval_days(&self) -> i64 {
+    /// Whether a dataset at this cadence has a snapshot on `date`.
+    pub fn samples(&self, date: Date) -> bool {
         match self {
-            Cadence::Daily => 1,
-            Cadence::Weekly => 7,
+            Cadence::Daily => true,
+            Cadence::Weekly => date.weekday() == Weekday::Tuesday,
         }
     }
 }
@@ -166,114 +168,10 @@ impl<S: DnsStore> Snapshotter<S> {
     }
 }
 
-/// A longitudinal series of snapshots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SnapshotSeries {
-    /// Cadence of collection.
-    pub cadence: Cadence,
-    /// Snapshots in date order.
-    pub snapshots: Vec<DailySnapshot>,
-}
-
-impl SnapshotSeries {
-    /// An empty series.
-    pub fn new(cadence: Cadence) -> SnapshotSeries {
-        SnapshotSeries {
-            cadence,
-            snapshots: Vec::new(),
-        }
-    }
-
-    /// Append a snapshot, keeping date order.
-    pub fn push(&mut self, snapshot: DailySnapshot) {
-        debug_assert!(self
-            .snapshots
-            .last()
-            .is_none_or(|s| s.date < snapshot.date));
-        self.snapshots.push(snapshot);
-    }
-
-    /// Number of snapshots.
-    pub fn len(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
-    }
-
-    /// First snapshot date.
-    pub fn start_date(&self) -> Option<Date> {
-        self.snapshots.first().map(|s| s.date)
-    }
-
-    /// Last snapshot date.
-    pub fn end_date(&self) -> Option<Date> {
-        self.snapshots.last().map(|s| s.date)
-    }
-
-    /// Total PTR responses across snapshots (Table 1's "Total # responses").
-    pub fn total_responses(&self) -> u64 {
-        self.snapshots.iter().map(|s| s.len() as u64).sum()
-    }
-
-    /// Unique PTR hostnames across the whole series.
-    pub fn unique_ptrs(&self) -> usize {
-        let mut set: HashSet<&Hostname> = HashSet::new();
-        for s in &self.snapshots {
-            set.extend(s.records.values());
-        }
-        set.len()
-    }
-
-    /// Unique /24 blocks with at least one PTR anywhere in the series.
-    pub fn unique_slash24s(&self) -> usize {
-        let mut set: HashSet<Slash24> = HashSet::new();
-        for s in &self.snapshots {
-            set.extend(s.records.keys().map(|a| Slash24::containing(*a)));
-        }
-        set.len()
-    }
-
-    /// Per-/24 daily count matrix: for each block seen anywhere, a vector of
-    /// counts aligned with `self.snapshots` — the input of the §4.1
-    /// dynamicity heuristic. Keyed in block order, so iteration is
-    /// deterministic without sorting.
-    pub fn counts_matrix(&self) -> BTreeMap<Slash24, Vec<u32>> {
-        let days = self.snapshots.len();
-        let mut out: BTreeMap<Slash24, Vec<u32>> = BTreeMap::new();
-        for (i, snap) in self.snapshots.iter().enumerate() {
-            for (prefix, count) in snap.slash24_runs() {
-                let block = Slash24::containing(Ipv4Addr::from(prefix << 8));
-                out.entry(block).or_insert_with(|| vec![0; days])[i] = count;
-            }
-        }
-        out
-    }
-
-    /// Daily totals filtered by an address predicate (Fig. 9/10 series).
-    pub fn daily_totals_where<F: Fn(Ipv4Addr) -> bool>(&self, pred: F) -> Vec<(Date, usize)> {
-        self.snapshots
-            .iter()
-            .map(|s| (s.date, s.count_where(&pred)))
-            .collect()
-    }
-
-    /// Serialize the series to JSON.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
-
-    /// Load a series from JSON.
-    pub fn from_json(text: &str) -> serde_json::Result<SnapshotSeries> {
-        serde_json::from_str(text)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DeltaSeries, SnapshotDatasetStats};
 
     fn store_with(records: &[(&str, &str)]) -> ZoneStore {
         let store = ZoneStore::new();
@@ -320,23 +218,25 @@ mod tests {
     fn series_statistics() {
         let store = store_with(&[("192.0.2.1", "a.example"), ("192.0.2.2", "b.example")]);
         let snapper = Snapshotter::new(store.clone());
-        let mut series = SnapshotSeries::new(Cadence::Daily);
+        let mut series = DeltaSeries::new(Cadence::Daily);
         series.push(snapper.take(Date::from_ymd(2021, 1, 1)));
         store.set_ptr("192.0.2.3".parse().unwrap(), "c.example".parse().unwrap(), 300);
         series.push(snapper.take(Date::from_ymd(2021, 1, 2)));
         assert_eq!(series.len(), 2);
         assert_eq!(series.total_responses(), 2 + 3);
-        assert_eq!(series.unique_ptrs(), 3);
-        assert_eq!(series.unique_slash24s(), 1);
         assert_eq!(series.start_date(), Some(Date::from_ymd(2021, 1, 1)));
         assert_eq!(series.end_date(), Some(Date::from_ymd(2021, 1, 2)));
+        let columnar = series.to_columnar();
+        let stats = SnapshotDatasetStats::from_columnar("daily", &columnar, Cadence::Daily);
+        assert_eq!(stats.unique_ptrs, 3);
+        assert_eq!(columnar.unique_slash24s(), 1);
     }
 
     #[test]
     fn counts_matrix_alignment() {
         let store = store_with(&[("192.0.2.1", "a.example")]);
         let snapper = Snapshotter::new(store.clone());
-        let mut series = SnapshotSeries::new(Cadence::Daily);
+        let mut series = DeltaSeries::new(Cadence::Daily);
         series.push(snapper.take(Date::from_ymd(2021, 1, 1)));
         // Day 2: record gone; a different block appears.
         store.remove_ptr("192.0.2.1".parse().unwrap());
@@ -344,34 +244,29 @@ mod tests {
         store.set_ptr("198.51.100.1".parse().unwrap(), "x.example".parse().unwrap(), 300);
         series.push(snapper.take(Date::from_ymd(2021, 1, 2)));
 
-        let matrix = series.counts_matrix();
+        let matrix = series.to_columnar().counts_matrix();
         assert_eq!(matrix[&Slash24::from_octets(192, 0, 2)], vec![1, 0]);
         assert_eq!(matrix[&Slash24::from_octets(198, 51, 100)], vec![0, 1]);
     }
 
     #[test]
-    fn daily_totals_with_predicate() {
+    fn count_with_predicate() {
         let store = store_with(&[
             ("192.0.2.1", "a.example"),
             ("198.51.100.1", "b.example"),
         ]);
-        let snapper = Snapshotter::new(store);
-        let mut series = SnapshotSeries::new(Cadence::Daily);
-        series.push(snapper.take(Date::from_ymd(2021, 1, 1)));
+        let snap = Snapshotter::new(store).take(Date::from_ymd(2021, 1, 1));
         let net: rdns_model::Ipv4Net = "192.0.2.0/24".parse().unwrap();
-        let totals = series.daily_totals_where(|a| net.contains(a));
-        assert_eq!(totals, vec![(Date::from_ymd(2021, 1, 1), 1)]);
+        assert_eq!(snap.count_where(|a| net.contains(a)), 1);
     }
 
     #[test]
     fn json_roundtrip() {
         let store = store_with(&[("192.0.2.1", "a.example")]);
-        let mut series = SnapshotSeries::new(Cadence::Weekly);
-        series.push(Snapshotter::new(store).take(Date::from_ymd(2021, 1, 1)));
-        let json = series.to_json().unwrap();
-        let back = SnapshotSeries::from_json(&json).unwrap();
-        assert_eq!(series, back);
-        assert_eq!(back.cadence.interval_days(), 7);
+        let snap = Snapshotter::new(store).take(Date::from_ymd(2021, 1, 1));
+        let json = serde_json::to_string(&snap).unwrap();
+        let back: DailySnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(snap, back);
     }
 
     #[test]
@@ -390,14 +285,20 @@ mod tests {
         assert_eq!(snap.date, date);
         assert_eq!(snap.records, records);
         // A converted snapshot slots straight into a series.
-        let mut series = SnapshotSeries::new(Cadence::Daily);
+        let mut series = DeltaSeries::new(Cadence::Daily);
         series.push(snap);
         assert_eq!(series.total_responses(), 1);
     }
 
     #[test]
-    fn cadence_intervals() {
-        assert_eq!(Cadence::Daily.interval_days(), 1);
-        assert_eq!(Cadence::Weekly.interval_days(), 7);
+    fn cadence_samples() {
+        let monday = Date::from_ymd(2021, 11, 1);
+        let week: Vec<Date> = (0..7).map(|i| monday.plus_days(i)).collect();
+        assert!(week.iter().all(|d| Cadence::Daily.samples(*d)));
+        let weekly: Vec<Date> = week
+            .into_iter()
+            .filter(|d| Cadence::Weekly.samples(*d))
+            .collect();
+        assert_eq!(weekly, vec![monday.succ()]);
     }
 }

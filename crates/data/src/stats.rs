@@ -1,7 +1,7 @@
 //! Dataset summary statistics (Table 1 and Table 3 shapes).
 
-use crate::columnar::ColumnarSeries;
-use crate::snapshot::SnapshotSeries;
+use crate::columnar::{ColumnarDay, ColumnarSeries};
+use crate::snapshot::Cadence;
 use rdns_scan::ScanLog;
 use rdns_model::Date;
 use serde::{Deserialize, Serialize};
@@ -22,26 +22,32 @@ pub struct SnapshotDatasetStats {
 }
 
 impl SnapshotDatasetStats {
-    /// Compute from a series.
-    pub fn from_series(label: &str, series: &SnapshotSeries) -> SnapshotDatasetStats {
-        SnapshotDatasetStats {
-            label: label.to_string(),
-            start: series.start_date(),
-            end: series.end_date(),
-            total_responses: series.total_responses(),
-            unique_ptrs: series.unique_ptrs(),
+    /// Compute over the days of `series` that a dataset at `cadence`
+    /// samples — every day for the daily (OpenINTEL-like) dataset, the
+    /// Tuesdays for the weekly (Rapid7-like) one. The unique-PTR count walks
+    /// the interned name pool instead of hashing every hostname string.
+    pub fn from_columnar(
+        label: &str,
+        series: &ColumnarSeries,
+        cadence: Cadence,
+    ) -> SnapshotDatasetStats {
+        let days: Vec<&ColumnarDay> = series
+            .days
+            .iter()
+            .filter(|d| cadence.samples(d.date))
+            .collect();
+        let mut used = vec![false; series.pool.len()];
+        for day in &days {
+            for id in &day.names {
+                used[id.0 as usize] = true;
+            }
         }
-    }
-
-    /// Compute from the columnar view; the unique-PTR count walks the
-    /// interned name pool instead of hashing every hostname string.
-    pub fn from_columnar(label: &str, series: &ColumnarSeries) -> SnapshotDatasetStats {
         SnapshotDatasetStats {
             label: label.to_string(),
-            start: series.start_date(),
-            end: series.end_date(),
-            total_responses: series.total_responses(),
-            unique_ptrs: series.unique_ptrs(),
+            start: days.first().map(|d| d.date),
+            end: days.last().map(|d| d.date),
+            total_responses: days.iter().map(|d| d.len() as u64).sum(),
+            unique_ptrs: used.iter().filter(|u| **u).count(),
         }
     }
 
@@ -103,38 +109,66 @@ impl ScanDatasetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{Cadence, DailySnapshot};
+    use crate::{DailySnapshot, DeltaSeries};
     use rdns_model::Hostname;
     use rdns_model::SimTime;
     use rdns_scan::RdnsOutcome;
     use std::collections::BTreeMap;
 
-    #[test]
-    fn snapshot_stats() {
-        let mut series = SnapshotSeries::new(Cadence::Daily);
+    /// Monday 2021-11-01 through Wednesday 2021-11-10, one more record
+    /// each day, with the hostname of `192.0.2.1` renamed on the Tuesdays.
+    fn ten_days() -> ColumnarSeries {
+        let monday = Date::from_ymd(2021, 11, 1);
+        let mut series = DeltaSeries::new(Cadence::Daily);
         let mut records = BTreeMap::new();
-        records.insert("192.0.2.1".parse().unwrap(), Hostname::new("a.example"));
-        series.push(DailySnapshot {
-            date: Date::from_ymd(2020, 2, 17),
-            records: records.clone(),
-        });
-        records.insert("192.0.2.2".parse().unwrap(), Hostname::new("b.example"));
-        series.push(DailySnapshot {
-            date: Date::from_ymd(2020, 2, 18),
-            records,
-        });
-        let stats = SnapshotDatasetStats::from_series("OpenINTEL-like", &series);
-        assert_eq!(stats.start, Some(Date::from_ymd(2020, 2, 17)));
-        assert_eq!(stats.end, Some(Date::from_ymd(2020, 2, 18)));
-        assert_eq!(stats.total_responses, 3);
-        assert_eq!(stats.unique_ptrs, 2);
+        for i in 0..10u8 {
+            let date = monday.plus_days(i64::from(i));
+            records.insert(
+                std::net::Ipv4Addr::new(192, 0, 2, 10 + i),
+                Hostname::new(&format!("h{i}.example")),
+            );
+            let first = if Cadence::Weekly.samples(date) {
+                "tue.example"
+            } else {
+                "a.example"
+            };
+            records.insert("192.0.2.1".parse().unwrap(), Hostname::new(first));
+            series.push(DailySnapshot {
+                date,
+                records: records.clone(),
+            });
+        }
+        series.to_columnar()
+    }
+
+    #[test]
+    fn daily_stats_cover_every_day() {
+        let stats =
+            SnapshotDatasetStats::from_columnar("OpenINTEL-like", &ten_days(), Cadence::Daily);
+        assert_eq!(stats.start, Some(Date::from_ymd(2021, 11, 1)));
+        assert_eq!(stats.end, Some(Date::from_ymd(2021, 11, 10)));
+        // Day i holds 192.0.2.1 plus i + 1 numbered hosts.
+        assert_eq!(stats.total_responses, (2..=11).sum::<u64>());
+        assert_eq!(stats.unique_ptrs, 10 + 2);
         assert!(stats.row().contains("OpenINTEL-like"));
     }
 
     #[test]
+    fn weekly_stats_sample_the_tuesdays() {
+        let stats =
+            SnapshotDatasetStats::from_columnar("Rapid7-like", &ten_days(), Cadence::Weekly);
+        assert_eq!(stats.start, Some(Date::from_ymd(2021, 11, 2)));
+        assert_eq!(stats.end, Some(Date::from_ymd(2021, 11, 9)));
+        // Tuesday 2 holds 3 records, Tuesday 9 holds 10.
+        assert_eq!(stats.total_responses, 3 + 10);
+        // h0..h8 plus the Tuesday name; "a.example" appears on no Tuesday.
+        assert_eq!(stats.unique_ptrs, 9 + 1);
+    }
+
+    #[test]
     fn empty_series_stats() {
-        let series = SnapshotSeries::new(Cadence::Weekly);
-        let stats = SnapshotDatasetStats::from_series("empty", &series);
+        let series = DeltaSeries::new(Cadence::Daily).to_columnar();
+        let stats = SnapshotDatasetStats::from_columnar("empty", &series, Cadence::Weekly);
         assert_eq!(stats.start, None);
         assert_eq!(stats.total_responses, 0);
         assert!(stats.row().contains('-'));

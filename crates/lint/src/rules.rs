@@ -658,15 +658,16 @@ fn rule_raw_atomic_stats(origin: &FileOrigin, tokens: &[Token], out: &mut Vec<Fi
 // snapshot memory discipline
 // ---------------------------------------------------------------------------
 
-/// Types whose clones copy a whole day (or window) of PTR records. With the
-/// delta/columnar layouts in `crates/data`, analysis code should stream,
-/// materialize lazily, or borrow — never duplicate the row form.
-const SNAPSHOT_TYPES: &[&str] = &["DailySnapshot", "SnapshotSeries"];
+/// Types whose clones copy a whole day (or window) of PTR records: one day
+/// in row form, and the two whole-window layouts in `crates/data`. Analysis
+/// code should stream, materialize lazily, or borrow — never duplicate a day
+/// or a window.
+const SNAPSHOT_TYPES: &[&str] = &["DailySnapshot", "DeltaSeries", "ColumnarSeries"];
 
-/// A cloned [`DailySnapshot`]/[`SnapshotSeries`] copies every record in the
-/// day (or every day in the window) — exactly the per-day duplication the
-/// delta representation exists to avoid. The rule tracks identifiers bound
-/// to those types (ascriptions, `DailySnapshot::…`/`SnapshotSeries::…`
+/// A cloned `DailySnapshot` copies every record in the day, and a cloned
+/// `DeltaSeries`/`ColumnarSeries` every day in the window — exactly the
+/// duplication the delta and columnar representations exist to avoid. The
+/// rule tracks identifiers bound to those types (ascriptions, `Type::…`
 /// inits, and `Snapshotter…take(…)` results) and flags `.clone()` on them
 /// outside `crates/data` (the representation layer itself) and outside test
 /// code. A clone that genuinely must own a second dataset takes a justified
@@ -711,7 +712,7 @@ fn rule_snapshot_clone(
 }
 
 /// Identifiers bound to snapshot types in this file: `name: …DailySnapshot`
-/// ascriptions (params, fields, lets), `let name = SnapshotSeries::…` inits,
+/// ascriptions (params, fields, lets), `let name = DeltaSeries::…` inits,
 /// and `let name = <snapper>.take(…)` where `<snapper>` is itself bound to a
 /// [`Snapshotter`].
 fn collect_snapshot_idents(tokens: &[Token]) -> Vec<String> {

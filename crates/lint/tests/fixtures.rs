@@ -310,7 +310,11 @@ fn snapshot_clone_fixture() {
     let bad = include_str!("fixtures/bad_snapshot_clone.rs");
     assert_eq!(
         findings("crates/core/src/bad.rs", bad),
-        vec![(4, "snapshot-clone"), (10, "snapshot-clone")]
+        vec![
+            (4, "snapshot-clone"),
+            (10, "snapshot-clone"),
+            (15, "snapshot-clone")
+        ]
     );
     // Streaming consumption and a justified allow both pass.
     let good = include_str!("fixtures/good_snapshot_clone.rs");

@@ -1,6 +1,6 @@
-use rdns_data::{DeltaSeries, SnapshotSeries};
+use rdns_data::{ColumnarSeries, DeltaSeries};
 
-pub fn total(series: &SnapshotSeries) -> u64 {
+pub fn total(series: &DeltaSeries) -> u64 {
     series.total_responses()
 }
 
@@ -11,7 +11,7 @@ pub fn stream(series: &DeltaSeries) -> usize {
 }
 
 // A second provider's dataset is an independently owned copy by design.
-pub fn second_provider(series: &SnapshotSeries) -> SnapshotSeries {
+pub fn second_provider(series: &ColumnarSeries) -> ColumnarSeries {
     // lint:allow(snapshot-clone) -- the second provider owns its dataset
     series.clone()
 }

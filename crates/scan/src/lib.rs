@@ -11,7 +11,7 @@
 //! * [`permute`] — ZMap-style pseudo-random probe ordering,
 //! * [`probe`] — the prober abstraction: ICMP echo plus direct-to-
 //!   authoritative PTR lookups, with outcome classification (answer /
-//!   NXDOMAIN / server failure / timeout) and optional fault injection,
+//!   NXDOMAIN / server failure / timeout),
 //! * [`reactive`] — the event-driven reactive measurement engine of Fig. 5:
 //!   hourly discovery sweeps, per-client high-frequency ICMP with back-off,
 //!   and reactive rDNS lookups once a client goes dark,
@@ -36,7 +36,7 @@ pub mod wire;
 pub use backoff::BackoffSchedule;
 pub use blocklist::Blocklist;
 pub use permute::Permutation;
-pub use probe::{FaultInjector, FnProber, Prober, RdnsOutcome};
+pub use probe::{FnProber, Prober, RdnsOutcome};
 pub use ratelimit::TokenBucket;
 pub use reactive::{ReactiveConfig, ReactiveScanner};
 pub use records::{IcmpRecord, RdnsRecord, ScanLog};

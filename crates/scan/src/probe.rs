@@ -2,12 +2,8 @@
 //!
 //! The reactive engine doesn't care whether probes travel over real sockets
 //! (wire mode) or call straight into the simulated world (fast mode); it
-//! talks to a [`Prober`]. [`FaultInjector`] wraps any prober to add the
-//! resolution-error mix of Fig. 6 (name-server failures and timeouts) in
-//! fast mode, where no real packet loss exists.
+//! talks to a [`Prober`].
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use rdns_model::Hostname;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -106,58 +102,6 @@ where
     }
 }
 
-/// Fault injection for fast mode: a fraction of rDNS lookups become
-/// name-server failures or timeouts, and a fraction of pings are lost.
-pub struct FaultInjector<P: Prober> {
-    inner: P,
-    rng: SmallRng,
-    /// Probability an rDNS lookup turns into [`RdnsOutcome::NameserverFailure`].
-    pub servfail_prob: f64,
-    /// Probability an rDNS lookup turns into [`RdnsOutcome::Timeout`].
-    pub timeout_prob: f64,
-    /// Probability a ping response is lost.
-    pub ping_loss_prob: f64,
-}
-
-impl<P: Prober> FaultInjector<P> {
-    /// Wrap `inner` with the given fault probabilities.
-    pub fn new(inner: P, servfail_prob: f64, timeout_prob: f64, ping_loss_prob: f64, seed: u64) -> Self {
-        FaultInjector {
-            inner,
-            rng: SmallRng::seed_from_u64(seed),
-            servfail_prob,
-            timeout_prob,
-            ping_loss_prob,
-        }
-    }
-
-    /// Unwrap the inner prober.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-}
-
-impl<P: Prober> Prober for FaultInjector<P> {
-    fn ping(&mut self, addr: Ipv4Addr) -> bool {
-        let alive = self.inner.ping(addr);
-        if alive && self.rng.gen::<f64>() < self.ping_loss_prob {
-            return false;
-        }
-        alive
-    }
-
-    fn rdns(&mut self, addr: Ipv4Addr) -> RdnsOutcome {
-        let roll: f64 = self.rng.gen();
-        if roll < self.servfail_prob {
-            return RdnsOutcome::NameserverFailure;
-        }
-        if roll < self.servfail_prob + self.timeout_prob {
-            return RdnsOutcome::Timeout;
-        }
-        self.inner.rdns(addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,52 +132,5 @@ mod tests {
             p.rdns("10.0.0.1".parse().unwrap()).hostname().unwrap().as_str(),
             "a.example.edu"
         );
-    }
-
-    #[test]
-    fn injector_with_zero_probs_is_transparent() {
-        let mut p = FaultInjector::new(fixed_prober(true, "a.example"), 0.0, 0.0, 0.0, 1);
-        for _ in 0..100 {
-            assert!(p.ping("10.0.0.1".parse().unwrap()));
-            assert!(!p.rdns("10.0.0.1".parse().unwrap()).is_error());
-        }
-    }
-
-    #[test]
-    fn injector_produces_requested_error_mix() {
-        let mut p = FaultInjector::new(fixed_prober(true, "a.example"), 0.3, 0.2, 0.0, 42);
-        let mut servfail = 0;
-        let mut timeout = 0;
-        let mut ok = 0;
-        for _ in 0..2000 {
-            match p.rdns("10.0.0.1".parse().unwrap()) {
-                RdnsOutcome::NameserverFailure => servfail += 1,
-                RdnsOutcome::Timeout => timeout += 1,
-                RdnsOutcome::Ptr(_) => ok += 1,
-                RdnsOutcome::NxDomain => unreachable!(),
-            }
-        }
-        assert!((500..700).contains(&servfail), "servfail={servfail}");
-        assert!((300..500).contains(&timeout), "timeout={timeout}");
-        assert!((900..1200).contains(&ok), "ok={ok}");
-    }
-
-    #[test]
-    fn ping_loss_only_affects_alive_hosts() {
-        let mut lossy = FaultInjector::new(fixed_prober(true, "x"), 0.0, 0.0, 1.0, 7);
-        assert!(!lossy.ping("10.0.0.1".parse().unwrap()), "all pings lost");
-        let mut dead = FaultInjector::new(fixed_prober(false, "x"), 0.0, 0.0, 0.0, 7);
-        assert!(!dead.ping("10.0.0.1".parse().unwrap()));
-    }
-
-    #[test]
-    fn injector_deterministic_per_seed() {
-        let run = |seed| {
-            let mut p = FaultInjector::new(fixed_prober(true, "x"), 0.5, 0.0, 0.0, seed);
-            (0..50)
-                .map(|_| p.rdns("10.0.0.1".parse().unwrap()).is_error())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(9), run(9));
     }
 }

@@ -23,7 +23,7 @@
 use rdns_core::dynamicity::{identify_dynamic, DynamicityParams};
 use rdns_core::names::match_given_names;
 use rdns_core::redact::Pii;
-use rdns_data::{Cadence, Snapshotter, SnapshotSeries};
+use rdns_data::{Cadence, DeltaSeries, Snapshotter};
 use rdns_model::{Date, SimTime};
 use rdns_netsim::spec::{DynDnsMode, SubnetRole};
 use rdns_netsim::{spec::presets, World, WorldConfig};
@@ -60,38 +60,35 @@ fn run_policy(label: &str, dns_mode: Option<DynDnsMode>) {
         networks: vec![spec],
     });
     let snapper = Snapshotter::new(world.store().clone());
-    let mut series = SnapshotSeries::new(Cadence::Daily);
+    let mut series = DeltaSeries::new(Cadence::Daily);
     for offset in 0..21 {
         let day = start.plus_days(offset);
         world.step_until(SimTime::from_date_hms(day, 14, 0, 0));
         series.push(snapper.take(day));
     }
+    let columnar = series.to_columnar();
 
     // What does the observer learn?
     let params = DynamicityParams {
         min_daily_addrs: 3,
         ..DynamicityParams::default()
     };
-    let dynamicity = identify_dynamic(&series.counts_matrix(), &params);
-    let mut named_records = 0usize;
-    let mut total_records = std::collections::HashSet::new();
+    let dynamicity = identify_dynamic(&columnar.counts_matrix(), &params);
+    let records = columnar.observations();
     // BTreeSet so the redacted sample below is deterministic.
     let mut named_hosts = std::collections::BTreeSet::new();
-    for snap in &series.snapshots {
-        for (addr, host) in &snap.records {
-            if total_records.insert((*addr, host.clone()))
-                && !match_given_names(host).is_empty()
-            {
-                named_records += 1;
-                named_hosts.insert(host.to_string());
-            }
+    let mut named_records = 0usize;
+    for (_, host) in &records {
+        if !match_given_names(host).is_empty() {
+            named_records += 1;
+            named_hosts.insert(host.to_string());
         }
     }
     println!(
         "{label:<34} dynamic /24s: {:>2}   records w/ given names: {:>4}   unique records: {:>5}",
         dynamicity.dynamic.len(),
         named_records,
-        total_records.len()
+        records.len()
     );
     // Never print the names themselves: route every owner-derived string
     // through the Pii boundary and show only the joinable fingerprints.

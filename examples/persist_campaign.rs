@@ -9,7 +9,7 @@
 
 use rdns_core::experiments::harness::{collect_series, run_supplemental, FaultMix};
 use rdns_core::timing::{build_groups, GroupFunnel};
-use rdns_data::{load_scan_log, load_series, save_scan_log, save_series, Cadence};
+use rdns_data::{load_scan_log, load_series, save_scan_log, save_series};
 use rdns_model::Date;
 use rdns_netsim::{spec::presets, World, WorldConfig};
 
@@ -25,7 +25,7 @@ fn main() {
     // One day of supplemental measurement + one week of daily snapshots.
     println!("measuring ...");
     let run = run_supplemental(&mut world, &["Academic-A"], from, 1, FaultMix::realistic(), 4);
-    let series = collect_series(&mut world, from.plus_days(1), from.plus_days(7), Cadence::Daily);
+    let series = collect_series(&mut world, from.plus_days(1), from.plus_days(7));
 
     let dir = std::env::temp_dir().join("rdns-privacy-campaign");
     std::fs::create_dir_all(&dir).expect("create artifact dir");

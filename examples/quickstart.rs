@@ -9,11 +9,10 @@
 use rdns_core::dynamicity::{identify_dynamic, DynamicityParams};
 use rdns_core::names::match_given_names;
 use rdns_core::suffix::{identify_leaking_suffixes, LeakParams};
-use rdns_data::{Cadence, Snapshotter, SnapshotSeries};
+use rdns_data::{Cadence, DeltaSeries, SnapshotDatasetStats, Snapshotter};
 use rdns_model::{Date, SimTime};
 use rdns_netsim::spec::presets;
 use rdns_netsim::{World, WorldConfig};
-use std::collections::HashSet;
 
 fn main() {
     // 1. A world with one leaky campus network.
@@ -31,17 +30,19 @@ fn main() {
 
     // 2. Daily rDNS snapshots for three weeks (what OpenINTEL would see).
     let snapper = Snapshotter::new(world.store().clone());
-    let mut series = SnapshotSeries::new(Cadence::Daily);
+    let mut series = DeltaSeries::new(Cadence::Daily);
     for offset in 0..21 {
         let day = start.plus_days(offset);
         world.step_until(SimTime::from_date_hms(day, 14, 0, 0));
         series.push(snapper.take(day));
     }
+    let columnar = series.to_columnar();
+    let dataset = SnapshotDatasetStats::from_columnar("daily", &columnar, Cadence::Daily);
     println!(
         "collected {} snapshots, {} PTR responses, {} unique hostnames",
-        series.len(),
-        series.total_responses(),
-        series.unique_ptrs()
+        columnar.len(),
+        dataset.total_responses,
+        dataset.unique_ptrs
     );
 
     // 3. §4.1: which /24s behave dynamically?
@@ -49,7 +50,7 @@ fn main() {
         min_daily_addrs: 3,
         ..DynamicityParams::default()
     };
-    let dynamicity = identify_dynamic(&series.counts_matrix(), &params);
+    let dynamicity = identify_dynamic(&columnar.counts_matrix(), &params);
     println!(
         "dynamicity: {} of {} /24s labelled dynamic",
         dynamicity.dynamic.len(),
@@ -57,13 +58,7 @@ fn main() {
     );
 
     // 4. §5.1: which networks leak identities?
-    let mut observations = HashSet::new();
-    for snap in &series.snapshots {
-        for (addr, host) in &snap.records {
-            observations.insert((*addr, host.clone()));
-        }
-    }
-    let observations: Vec<_> = observations.into_iter().collect();
+    let observations = columnar.observations();
     let (stats, identified) = identify_leaking_suffixes(
         observations.iter().map(|(a, h)| (*a, h)),
         &dynamicity.dynamic,

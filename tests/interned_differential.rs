@@ -8,12 +8,13 @@
 //!    A per-address sweep over every dynamic-pool address must render the
 //!    exact same bytes from both, at every shard count.
 //! 2. **Delta encoding** — a window collected straight into a
-//!    [`DeltaSeries`] (day 0 + adds/renames/removes) must reproduce the
-//!    eagerly collected [`SnapshotSeries`] byte-for-byte once materialized,
-//!    day by day and as serialized JSON, at every shard count.
+//!    [`DeltaSeries`](rdns_data::DeltaSeries) (day 0 + adds/renames/removes)
+//!    must reproduce, once materialized, every day exactly as
+//!    [`Snapshotter::take`] returned it — day by day and as serialized JSON,
+//!    at every shard count.
 
-use rdns_core::experiments::harness::{collect_delta_series, collect_series, SNAPSHOT_HOUR};
-use rdns_data::Cadence;
+use rdns_core::experiments::harness::{collect_series, SNAPSHOT_HOUR};
+use rdns_data::{DailySnapshot, Snapshotter};
 use rdns_model::{Date, SimTime};
 use rdns_netsim::spec::presets;
 use rdns_netsim::{MonolithWorld, NetworkSpec, World, WorldConfig};
@@ -71,7 +72,21 @@ fn interned_sweep_matches_legacy_oracle_per_query() {
     }
 }
 
-/// Pin 2: a delta-collected window reproduces the eager series exactly —
+/// Every day of `[from, to]` at [`SNAPSHOT_HOUR`], exactly as the
+/// snapshotter takes it.
+fn take_days(world: &mut World, from: Date, to: Date) -> Vec<DailySnapshot> {
+    let snapper = Snapshotter::new(world.store().clone());
+    let mut days = Vec::new();
+    let mut day = from;
+    while day <= to {
+        world.step_until(SimTime::from_date_hms(day, SNAPSHOT_HOUR, 0, 0));
+        days.push(snapper.take(day));
+        day = day.succ();
+    }
+    days
+}
+
+/// Pin 2: a delta-collected window reproduces the days as taken exactly —
 /// same JSON bytes, same per-day materialization — at shards 1, 2 and 8.
 #[test]
 fn delta_series_matches_eager_series_across_shard_counts() {
@@ -81,18 +96,20 @@ fn delta_series_matches_eager_series_across_shard_counts() {
 
     for shards in [1usize, 2, 8] {
         let mut eager_world = World::new(config(shards, start));
-        let eager = collect_series(&mut eager_world, start, end, Cadence::Daily);
-        assert!(eager.total_responses() > 0, "window must have signal");
+        let eager = take_days(&mut eager_world, start, end);
+        assert!(
+            eager.iter().any(|day| !day.is_empty()),
+            "window must have signal"
+        );
 
         let mut delta_world = World::new(config(shards, start));
-        let delta = collect_delta_series(&mut delta_world, start, end, Cadence::Daily);
+        let delta = collect_series(&mut delta_world, start, end);
 
-        // Whole-series bytes.
-        let eager_json = eager.to_json().expect("series serializes");
-        let delta_json = delta
-            .to_series()
-            .to_json()
-            .expect("materialized series serializes");
+        // Whole-window bytes.
+        let eager_json = serde_json::to_string(&eager).expect("days serialize");
+        let mut materialized = Vec::new();
+        delta.for_each_day(|day| materialized.push(day.clone()));
+        let delta_json = serde_json::to_string(&materialized).expect("days serialize");
         assert_eq!(
             eager_json, delta_json,
             "delta round-trip diverged at {shards} shard(s)"
@@ -100,7 +117,7 @@ fn delta_series_matches_eager_series_across_shard_counts() {
 
         // Day-by-day lazy materialization.
         assert_eq!(delta.len(), eager.len());
-        for (i, snap) in eager.snapshots.iter().enumerate() {
+        for (i, snap) in eager.iter().enumerate() {
             let materialized = delta.materialize(i).expect("day index in range");
             assert_eq!(
                 &materialized, snap,

@@ -3,8 +3,9 @@
 //! Parallelism must be an execution detail, never an input. Three pins:
 //!
 //! 1. A fixed multi-network world stepped at `shards` ∈ {1, 2, 8} produces
-//!    **byte-identical** [`SnapshotSeries`] JSON — not merely equal sets,
-//!    the same serialized bytes.
+//!    **byte-identical** snapshot JSON — every day exactly as
+//!    [`Snapshotter::take`] returned it, not merely equal sets but the same
+//!    serialized bytes.
 //! 2. A property test sweeps small random world specs (network mix, scale,
 //!    seed, window) and asserts snapshot-series and `online_count`
 //!    trajectories agree across shard settings.
@@ -14,7 +15,7 @@
 //!    sharded engine for the same config.
 
 use proptest::prelude::*;
-use rdns_data::{Cadence, Snapshotter, SnapshotSeries};
+use rdns_data::{DailySnapshot, Snapshotter};
 use rdns_model::{Date, SimTime};
 use rdns_netsim::spec::presets;
 use rdns_netsim::{MonolithWorld, NetworkSpec, World, WorldConfig};
@@ -48,7 +49,7 @@ fn run_world(
         networks,
     });
     let snapper = Snapshotter::new(world.store().clone());
-    let mut series = SnapshotSeries::new(Cadence::Daily);
+    let mut series: Vec<DailySnapshot> = Vec::new();
     let mut online = Vec::new();
     world.run_days(start.plus_days(days - 1), |w, date| {
         series.push(snapper.take(date));
@@ -58,7 +59,7 @@ fn run_world(
     world.step_until(SimTime::from_date_hms(start.plus_days(days), 12, 0, 0));
     online.push(world.online_count());
     world.check_invariants();
-    (series.to_json().expect("series serializes"), online)
+    (serde_json::to_string(&series).expect("days serialize"), online)
 }
 
 /// Pin 1: byte-identical snapshot series across shard counts on a fixed
@@ -102,7 +103,7 @@ fn monolith_oracle_agrees_with_sharded_engine() {
 
     let mut sharded = World::new(config(networks()));
     let sharded_snapper = Snapshotter::new(sharded.store().clone());
-    let mut sharded_series = SnapshotSeries::new(Cadence::Daily);
+    let mut sharded_series: Vec<DailySnapshot> = Vec::new();
     let mut sharded_online = Vec::new();
     sharded.run_days(start.plus_days(1), |w, date| {
         sharded_series.push(sharded_snapper.take(date));
@@ -111,7 +112,7 @@ fn monolith_oracle_agrees_with_sharded_engine() {
 
     let mut mono = MonolithWorld::new(config(networks()));
     let mono_snapper = Snapshotter::new(mono.store().clone());
-    let mut mono_series = SnapshotSeries::new(Cadence::Daily);
+    let mut mono_series: Vec<DailySnapshot> = Vec::new();
     let mut mono_online = Vec::new();
     mono.run_days(start.plus_days(1), |w, date| {
         mono_series.push(mono_snapper.take(date));
@@ -120,8 +121,8 @@ fn monolith_oracle_agrees_with_sharded_engine() {
 
     assert_eq!(sharded_online, mono_online);
     assert_eq!(
-        sharded_series.to_json().unwrap(),
-        mono_series.to_json().unwrap(),
+        serde_json::to_string(&sharded_series).unwrap(),
+        serde_json::to_string(&mono_series).unwrap(),
         "monolith and sharded engines must publish identical series"
     );
 }

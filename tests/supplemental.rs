@@ -68,7 +68,6 @@ fn icmp_blocking_hides_hosts_but_not_records() {
     // ...yet their PTR records are in the global DNS: verify via a fresh
     // world snapshot that Enterprise-B publishes records at peak time.
     use rdns_core::experiments::harness::collect_series;
-    use rdns_data::Cadence;
     use rdns_model::Date;
     use rdns_netsim::{spec::presets, World, WorldConfig};
     let from = Date::from_ymd(2021, 11, 1);
@@ -78,7 +77,7 @@ fn icmp_blocking_hides_hosts_but_not_records() {
         start: from,
         networks: vec![presets::enterprise_b(0.1)],
     });
-    let series = collect_series(&mut world, from, from.plus_days(2), Cadence::Daily);
+    let series = collect_series(&mut world, from, from.plus_days(2));
     assert!(
         series.total_responses() > 0,
         "ping-dark network must still expose PTR records"
